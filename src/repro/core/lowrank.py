@@ -13,10 +13,8 @@ factorization, the cached factor is *edited*:
 * :func:`cholupdate` / :func:`choldowndate` — the classical rank-1
   ``A +- x xT`` edits the delete path is built on.
 
-Everything here is pure NumPy; SciPy's ``solve_triangular`` is used for the
-forward/backward substitutions when available (it is not a declared
-dependency) with a divide-and-conquer NumPy fallback, so the module works on
-the package's minimal install.
+The forward/backward substitutions are SciPy's ``solve_triangular``; the
+edits themselves are NumPy.
 """
 
 from __future__ import annotations
@@ -24,11 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-try:  # pragma: no cover - exercised via the public wrappers either way
-    from scipy.linalg import solve_triangular as _scipy_solve_triangular
-except ImportError:  # pragma: no cover
-    _scipy_solve_triangular = None
+from scipy.linalg import solve_triangular
 
 __all__ = [
     "cholupdate",
@@ -39,53 +33,15 @@ __all__ = [
     "solve_lower_transpose",
 ]
 
-#: Base-case size of the fallback substitution: blocks at or below this are
-#: handed to LAPACK ``gesv`` whole (an LU of an already-triangular matrix is
-#: cheap and exact-pivot stable), so a solve costs O(n / block) Python-level
-#: calls instead of one per row.
-_BLOCK = 96
-
-
-def _recursive_solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution ``L x = b`` without SciPy, divide and conquer."""
-    n = chol.shape[0]
-    if n <= _BLOCK:
-        return np.linalg.solve(chol, rhs)
-    half = n // 2
-    top = _recursive_solve_lower(chol[:half, :half], rhs[:half])
-    bottom = _recursive_solve_lower(
-        chol[half:, half:], rhs[half:] - chol[half:, :half] @ top
-    )
-    return np.concatenate([top, bottom])
-
-
-def _recursive_solve_lower_transpose(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Backward substitution ``L^T x = b`` without SciPy, divide and conquer."""
-    n = chol.shape[0]
-    if n <= _BLOCK:
-        return np.linalg.solve(chol.T, rhs)
-    half = n // 2
-    bottom = _recursive_solve_lower_transpose(chol[half:, half:], rhs[half:])
-    top = _recursive_solve_lower_transpose(
-        chol[:half, :half], rhs[:half] - chol[half:, :half].T @ bottom
-    )
-    return np.concatenate([top, bottom])
-
 
 def solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``L x = b`` for lower-triangular ``L`` (vector or matrix rhs)."""
-    if _scipy_solve_triangular is not None:
-        return _scipy_solve_triangular(chol, rhs, lower=True, check_finite=False)
-    return _recursive_solve_lower(chol, np.asarray(rhs, dtype=np.float64))
+    return solve_triangular(chol, rhs, lower=True, check_finite=False)
 
 
 def solve_lower_transpose(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``L^T x = b`` for lower-triangular ``L`` (vector or matrix rhs)."""
-    if _scipy_solve_triangular is not None:
-        return _scipy_solve_triangular(
-            chol, rhs, lower=True, trans="T", check_finite=False
-        )
-    return _recursive_solve_lower_transpose(chol, np.asarray(rhs, dtype=np.float64))
+    return solve_triangular(chol, rhs, lower=True, trans="T", check_finite=False)
 
 
 def cholupdate(chol: np.ndarray, vector: np.ndarray) -> np.ndarray:

@@ -60,18 +60,13 @@ class TestCommands:
 
 
 class TestBackendOption:
-    def test_backend_default_thread(self):
-        args = build_parser().parse_args(["replay", "trace.json"])
-        assert args.backend == "thread"
-
-    def test_backend_process_accepted(self):
-        for command in (["replay", "trace.json"], ["table1", "fir"]):
-            args = build_parser().parse_args([*command, "--backend", "process"])
-            assert args.backend == "process"
-
     def test_backend_unknown_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["replay", "t.json", "--backend", "greenlet"])
+        """Grouped solves have one executor kind, so ``--backend`` is not
+        an option of any subcommand."""
+        for command in (["replay", "t.json"], ["table1", "fir"]):
+            for value in ("thread", "process"):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([*command, "--backend", value])
 
 
 class TestServiceParser:

@@ -8,7 +8,6 @@ must reproduce.
 import numpy as np
 import pytest
 
-from repro.core import lowrank
 from repro.core.lowrank import (
     chol_append,
     chol_delete,
@@ -126,22 +125,4 @@ class TestTriangularSolves:
             np.linalg.solve(chol.T, rhs),
             rtol=1e-9,
             atol=1e-10,
-        )
-
-    @pytest.mark.parametrize("n", [1, 95, 96, 97, 300])
-    def test_numpy_fallback_matches_scipy_path(self, n, monkeypatch):
-        """The divide-and-conquer fallback must agree with the dense solve
-        across the base-case boundary (CI installs numpy only)."""
-        a, rng = _spd(n, seed=n)
-        chol = np.linalg.cholesky(a)
-        rhs = rng.normal(size=(n, 4))
-        monkeypatch.setattr(lowrank, "_scipy_solve_triangular", None)
-        np.testing.assert_allclose(
-            solve_lower(chol, rhs), np.linalg.solve(chol, rhs), rtol=1e-8, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            solve_lower_transpose(chol, rhs),
-            np.linalg.solve(chol.T, rhs),
-            rtol=1e-8,
-            atol=1e-9,
         )

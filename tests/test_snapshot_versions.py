@@ -160,6 +160,52 @@ class TestPreviousVersion:
             load_snapshot(bad)
 
 
+class TestRemovedSolveKnobs:
+    """States written while the estimator still had a process solve
+    backend carry ``backend``/``shm``/``stacking`` and
+    ``stats.pool_failures``.  They must restore, answer exactly as the same
+    state without those keys, and never be written again."""
+
+    LEGACY = {"backend": "process", "shm": True, "stacking": False}
+
+    def _legacy(self, manifest):
+        manifest["estimator"].update(self.LEGACY)
+        manifest["estimator"]["stats"]["pool_failures"] = 3
+        return manifest
+
+    def test_legacy_keys_restore_bit_identically(self, tmp_path):
+        _, path, queries = _warm_session(tmp_path)
+        legacy_path = _rewrite(path, tmp_path / "legacy.npz", patch_manifest=self._legacy)
+        legacy = load_snapshot(legacy_path)["estimator"]
+        assert legacy["version"] == 2
+        assert {key: legacy[key] for key in self.LEGACY} == self.LEGACY
+        assert legacy["stats"]["pool_failures"] == 3
+
+        stripped = {k: v for k, v in legacy.items() if k not in self.LEGACY}
+        stripped["stats"] = {
+            k: v for k, v in legacy["stats"].items() if k != "pool_failures"
+        }
+        current = load_snapshot(path)["estimator"]
+        assert set(stripped) == set(current)
+        assert stripped["stats"] == current["stats"]
+
+        outputs = []
+        for state in (legacy, stripped):
+            with KrigingEstimator.from_state(_simulate, state) as est:
+                outputs.append(est.evaluate_batch(queries))
+                assert est.to_state()["version"] == 2
+        assert [(o.value, o.variance, o.interpolated) for o in outputs[0]] == [
+            (o.value, o.variance, o.interpolated) for o in outputs[1]
+        ]
+
+    def test_to_state_no_longer_writes_them(self, tmp_path):
+        est, _, _ = _warm_session(tmp_path)
+        state = est.to_state()
+        assert state["version"] == 2
+        assert not set(self.LEGACY) & set(state)
+        assert "pool_failures" not in state["stats"]
+
+
 class TestCorruption:
     def test_missing_factor_member_degrades_to_cold(self, tmp_path):
         _, path, queries = _warm_session(tmp_path)
