@@ -12,7 +12,8 @@ Exit status 0 when every tracked ratio holds up, 1 on regression, 2 on a
 malformed report.  Absolute seconds are machine-dependent, so the gate
 compares the *speedup ratios* each benchmark computes on the same box; a
 run regresses when any tracked ratio falls below ``baseline / factor``
-(default factor 2: "fail on >2x regression").
+(default factor 2: "fail on >2x regression"), and fails outright when its
+own ``acceptance.passed`` is false.
 """
 
 from __future__ import annotations

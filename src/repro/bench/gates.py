@@ -27,6 +27,9 @@ small frozen dataclasses, one per gating idiom:
     report unexpected errors; an empty scenario map fails.
 :class:`CoverageGate`
     Seed coverage must not shrink below the baseline's.
+:class:`AcceptanceGate`
+    A current report whose own ``acceptance.passed`` is false fails,
+    whatever its ratios do against the baseline (every kind carries it).
 
 The vocabulary reproduces the old comparators' verdicts (and message
 formats) exactly, with one deliberate strictness upgrade: a matched row
@@ -58,6 +61,7 @@ __all__ = [
     "ValueGate",
     "ScenarioInvariantsGate",
     "CoverageGate",
+    "AcceptanceGate",
     "GATE_SETS",
     "evaluate",
     "compare",
@@ -359,6 +363,22 @@ class CoverageGate:
             )
 
 
+@dataclass(frozen=True)
+class AcceptanceGate:
+    """The current report's own acceptance verdict must not be false.
+
+    A ratio ratchet compares against ``baseline / factor`` and so cannot
+    see a run that misses the workload's absolute floor; this reads the
+    verdict the workload computed.  Reports without the section (or
+    without ``passed``) are left to the other gates.
+    """
+
+    def apply(self, baseline: dict, current: dict, factor: float, out: GateResult) -> None:
+        acceptance = current.get("acceptance")
+        if isinstance(acceptance, dict) and acceptance.get("passed") is False:
+            out.fail("acceptance.passed: false in the current report")
+
+
 #: Speedup fields gated per support-size row of ``results``.
 ROW_FIELDS = ("speedup_evaluate_vs_seed", "speedup_batch_vs_seed")
 #: Speedup fields gated in the ``l2_index`` section.
@@ -380,7 +400,8 @@ SOLVE_RATIO_GATES = (
     ),
 )
 
-#: Gate specs per report kind — the whole regression policy, as data.
+#: Gate specs per report kind — the whole regression policy, as data.  Every
+#: kind also gets :class:`AcceptanceGate` (appended below).
 GATE_SETS: dict[str, tuple] = {
     "query_engine": (
         RowRatchetGate(fields=ROW_FIELDS),
@@ -436,6 +457,7 @@ GATE_SETS: dict[str, tuple] = {
         GuardedRatchetGate("qps_under_chaos", guard="both"),
     ),
 }
+GATE_SETS = {kind: gates + (AcceptanceGate(),) for kind, gates in GATE_SETS.items()}
 
 
 def evaluate(baseline: dict, current: dict, factor: float) -> GateResult:

@@ -6,7 +6,12 @@ support sets thousands of times while the cache grows one point at a time.
 This module amortizes that: factorizations are cached by support-set
 signature, and when a new group's support differs from a cached one by a few
 points the cached factor is edited with O(n^2) row appends/deletes
-(:mod:`repro.core.lowrank`) instead of refactorized from scratch.
+(:mod:`repro.core.lowrank`) instead of refactorized from scratch.  The near
+match is found by a most-recent-first scan over at most ``capacity`` cached
+signatures, each held as a Python-int bitset of its support rows: a size
+prefilter skips entries that cannot beat the best distance so far, the rest
+cost one XOR and a popcount, and a distance of 1 stops the scan — O(capacity)
+per miss.
 
 The Gamma matrix itself (zero diagonal, conditionally negative definite) has
 no Cholesky factorization, so the cache factors the classical *shifted*
@@ -261,18 +266,10 @@ class FactorCache:
         self._bytes = 0
         self.stats = stats if stats is not None else FactorCacheStats()
         self._entries: OrderedDict[Signature, GammaFactor] = OrderedDict()
-        # Near-match search structures: an inverted index from support-cache
-        # row to the cached signatures containing it (a candidate within the
-        # update limit must share a row with the target unless both sets are
-        # tiny — those come from the size buckets), plus a monotonic recency
-        # stamp per entry so ties resolve to the most recently used factor
-        # without scanning the LRU.  Keeps `_closest` proportional to the
-        # candidates actually sharing rows instead of the whole cache, so
-        # capacities in the hundreds stay cheap.
-        self._row_index: dict[int, set[Signature]] = {}
-        self._by_size: dict[int, set[Signature]] = {}
-        self._stamps: dict[Signature, int] = {}
-        self._clock = 0
+        # One bitset per cached signature (bit ``r`` set for support row
+        # ``r``): a near-match's symmetric difference is one XOR and a
+        # popcount, so `_closest` scans the whole LRU cheaply.
+        self._masks: dict[Signature, int] = {}
         # Support sets with no PD factorization (rank-deficient Gammas are
         # routine on lattice workloads); memoized so a signature the
         # optimizer keeps revisiting does not pay a doomed O(n^3) Cholesky
@@ -290,9 +287,7 @@ class FactorCache:
     def invalidate(self) -> None:
         """Drop every cached factor (the variogram changed under them)."""
         self._entries.clear()
-        self._row_index.clear()
-        self._by_size.clear()
-        self._stamps.clear()
+        self._masks.clear()
         self._failed.clear()
         self._bytes = 0
         self.stats.invalidations += 1
@@ -319,20 +314,18 @@ class FactorCache:
         entry = self._entries.get(signature)
         if entry is not None:
             self._entries.move_to_end(signature)
-            self._touch(signature)
             self.stats.hits += 1
             return entry
         if signature in self._failed:
             return None
 
-        base = self._closest(signature)
-        if base is not None:
+        closest = self._closest(signature)
+        if closest is not None:
+            base, distance = closest
             derived = self._derive(base, signature, points, variogram, metric)
             if derived is not None:
                 self.stats.updates += 1
-                self.stats.update_points += len(
-                    set(signature) ^ set(base.rows.tolist())
-                )
+                self.stats.update_points += distance
                 self._store(signature, derived)
                 return derived
 
@@ -406,20 +399,7 @@ class FactorCache:
                 raise ValueError("non-finite factor-cache entry")
             loaded.append(GammaFactor(rows, gamma, shift, chol, stats=self.stats))
         for factor in loaded:
-            signature = tuple(sorted(factor.rows.tolist()))
-            self._entries[signature] = factor
-            self._entries.move_to_end(signature)
-            self._touch(signature)
-            for row in signature:
-                self._row_index.setdefault(row, set()).add(signature)
-            self._by_size.setdefault(len(signature), set()).add(signature)
-            self._bytes += self._factor_bytes(factor)
-            while len(self._entries) > 1 and (
-                len(self._entries) > self.capacity or self._bytes > self.max_bytes
-            ):
-                evicted, old = self._entries.popitem(last=False)
-                self._unindex(evicted)
-                self._bytes -= self._factor_bytes(old)
+            self._insert(tuple(sorted(factor.rows.tolist())), factor)
         return len(loaded)
 
     # ------------------------------------------------------------------
@@ -429,96 +409,69 @@ class FactorCache:
     def _factor_bytes(factor: GammaFactor) -> int:
         return factor.gamma.nbytes + factor.chol.nbytes + factor.rows.nbytes
 
-    def _touch(self, signature: Signature) -> None:
-        self._clock += 1
-        self._stamps[signature] = self._clock
+    @staticmethod
+    def _mask(signature: Signature) -> int:
+        mask = 0
+        for row in signature:
+            mask |= 1 << row
+        return mask
 
     def _store(self, signature: Signature, factor: GammaFactor) -> None:
+        self.stats.evictions += self._insert(signature, factor)
+
+    def _insert(self, signature: Signature, factor: GammaFactor) -> int:
+        """Insert as most recently used, then trim the LRU to capacity and
+        byte budget (always keeping the newest entry); returns the number
+        of entries evicted."""
         self._entries[signature] = factor
         self._entries.move_to_end(signature)
-        self._touch(signature)
-        for row in signature:
-            self._row_index.setdefault(row, set()).add(signature)
-        self._by_size.setdefault(len(signature), set()).add(signature)
+        self._masks[signature] = self._mask(signature)
         self._bytes += self._factor_bytes(factor)
+        evicted = 0
         while len(self._entries) > 1 and (
             len(self._entries) > self.capacity or self._bytes > self.max_bytes
         ):
-            evicted, old = self._entries.popitem(last=False)
-            self._unindex(evicted)
+            old_signature, old = self._entries.popitem(last=False)
+            del self._masks[old_signature]
             self._bytes -= self._factor_bytes(old)
-            self.stats.evictions += 1
-
-    def _unindex(self, signature: Signature) -> None:
-        for row in signature:
-            sigs = self._row_index.get(row)
-            if sigs is not None:
-                sigs.discard(signature)
-                if not sigs:
-                    del self._row_index[row]
-        sized = self._by_size.get(len(signature))
-        if sized is not None:
-            sized.discard(signature)
-            if not sized:
-                del self._by_size[len(signature)]
-        self._stamps.pop(signature, None)
+            evicted += 1
+        return evicted
 
     def _update_limit(self, signature: Signature) -> int:
         if self.max_update_points is not None:
             return self.max_update_points
         return max(8, len(signature) // 8)
 
-    def _closest(self, signature: Signature) -> GammaFactor | None:
-        """The closest cached factor within the update limit — smallest
-        symmetric difference, most recently used on ties.
+    def _closest(self, signature: Signature) -> tuple[GammaFactor, int] | None:
+        """The closest cached factor within the update limit and its
+        symmetric difference to ``signature`` — smallest difference, most
+        recently used on ties.
 
-        Candidates come from the inverted row index: every cached signature
-        sharing at least one support row with the target, for which the
-        overlap count gives the symmetric difference without materializing
-        a single set.  Cached sets sharing *no* row can still be within the
-        limit when both sets are tiny (distance is then the plain size
-        sum); the size buckets cover those.  Equivalent to a linear scan of
-        the whole LRU, at a cost proportional to the signatures actually
-        touching the target's rows.
+        A most-recent-first scan over at most ``capacity`` bitsets: an
+        entry whose size alone differs by at least the best distance so far
+        is skipped, the rest cost one XOR and a popcount, only strictly
+        smaller distances replace the best (so ties keep the more recent
+        entry), and a distance of 1 ends the scan.  O(capacity) per miss.
         """
         limit = self._update_limit(signature)
         if limit == 0 or not self._entries:
             return None
+        target = self._mask(signature)
         target_len = len(signature)
-        overlap: dict[Signature, int] = {}
-        lookup = self._row_index.get
-        for row in signature:
-            for cached in lookup(row, ()):
-                overlap[cached] = overlap.get(cached, 0) + 1
-
+        masks = self._masks
         best: Signature | None = None
         best_distance = limit + 1
-        best_stamp = -1
-        for cached, shared in overlap.items():
-            distance = target_len + len(cached) - 2 * shared
-            if distance <= 0 or distance > limit:
+        for cached in reversed(self._entries):
+            if abs(len(cached) - target_len) >= best_distance:
                 continue
-            stamp = self._stamps[cached]
-            if distance < best_distance or (
-                distance == best_distance and stamp > best_stamp
-            ):
-                best, best_distance, best_stamp = cached, distance, stamp
-
-        max_disjoint = limit - target_len  # distance of a zero-overlap set
-        if max_disjoint >= 1:
-            for size, sized in self._by_size.items():
-                if size > max_disjoint:
-                    continue
-                for cached in sized:
-                    if cached in overlap:
-                        continue
-                    distance = target_len + size
-                    stamp = self._stamps[cached]
-                    if distance < best_distance or (
-                        distance == best_distance and stamp > best_stamp
-                    ):
-                        best, best_distance, best_stamp = cached, distance, stamp
-        return self._entries[best] if best is not None else None
+            distance = (target ^ masks[cached]).bit_count()
+            if distance < best_distance:
+                best, best_distance = cached, distance
+                if distance <= 1:
+                    break
+        if best is None:
+            return None
+        return self._entries[best], best_distance
 
     def _derive(
         self,

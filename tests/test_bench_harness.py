@@ -9,7 +9,9 @@ registry layers get direct unit coverage.
 
 from __future__ import annotations
 
+import copy
 import json
+import pathlib
 import random
 
 import pytest
@@ -179,6 +181,37 @@ class TestChaosGates:
         current["scenarios"] = {}
         failures = compare(_chaos_report(), current, factor=2.0)
         assert any("no per-seed drills" in f for f in failures)
+
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _committed_baselines():
+    return [
+        (row["kind"], json.loads((REPO_ROOT / row["baseline"]).read_text()))
+        for row in listing(gated_only=True)
+    ]
+
+
+class TestAcceptanceGate:
+    def test_synthetic_failing_report_fails(self):
+        baseline = _cluster_report()
+        current = _cluster_report()
+        current["acceptance"] = {"passed": False}
+        failures = compare(baseline, current, factor=2.0)
+        assert failures == ["acceptance.passed: false in the current report"]
+
+    def test_every_kind_gates_acceptance(self):
+        for kind, baseline in _committed_baselines():
+            current = copy.deepcopy(baseline)
+            current["acceptance"]["passed"] = False
+            failures = compare(baseline, current, factor=2.0)
+            assert "acceptance.passed: false in the current report" in failures, kind
+
+    def test_committed_baselines_pass(self):
+        for kind, baseline in _committed_baselines():
+            assert baseline["acceptance"]["passed"] is True, kind
+            assert compare(baseline, baseline, factor=2.0) == [], kind
 
 
 class TestGateEvaluate:

@@ -118,30 +118,45 @@ class TestCachePolicy:
         cache = FactorCache()
         signature = _signature(rng, 80, 15)
         cache.factor_for(signature, points, VARIOGRAM, "l1")
+        assert set(cache._masks) == {signature}
         cache.invalidate()
         assert len(cache) == 0
         assert cache.stats.invalidations == 1
-        assert cache._row_index == {} and cache._by_size == {} and cache._stamps == {}
+        assert cache._masks == {}
         cache.factor_for(signature, points, VARIOGRAM, "l1")
         assert cache.stats.fresh == 2  # refactorized, not a hit
 
-    def test_inverted_index_tracks_store_hit_evict(self):
+    def test_bitset_table_tracks_store_hit_evict(self):
         points, rng = _cloud(seed=11)
         cache = FactorCache(capacity=3, max_update_points=0)
         signatures = [_signature(rng, 80, 12 + i) for i in range(4)]
         for signature in signatures:
             cache.factor_for(signature, points, VARIOGRAM, "l1")
-        # Oldest evicted: its rows are gone from the inverted index.
-        assert signatures[0] not in cache._stamps
-        for row, sigs in cache._row_index.items():
-            assert all(sig in cache._entries for sig in sigs)
-            assert all(row in sig for sig in sigs)
-        for size, sigs in cache._by_size.items():
-            assert all(len(sig) == size and sig in cache._entries for sig in sigs)
-        # A hit refreshes the recency stamp.
-        before = cache._stamps[signatures[1]]
+        # Oldest evicted: only live signatures keep a bitset, each with
+        # exactly its support rows set.
+        assert signatures[0] not in cache._masks
+        assert set(cache._masks) == set(cache._entries) == set(signatures[1:])
+        for signature, mask in cache._masks.items():
+            assert mask == sum(1 << row for row in signature)
+        # A hit reorders the LRU but leaves the table unchanged.
+        before = dict(cache._masks)
         cache.factor_for(signatures[1], points, VARIOGRAM, "l1")
-        assert cache._stamps[signatures[1]] > before
+        assert list(cache._entries)[-1] == signatures[1]
+        assert cache._masks == before
+
+    def test_load_state_fills_bitset_table(self):
+        points, rng = _cloud(seed=17)
+        source = FactorCache(max_update_points=0)
+        signatures = [_signature(rng, 80, 10 + i) for i in range(3)]
+        for signature in signatures:
+            source.factor_for(signature, points, VARIOGRAM, "l1")
+        restored = FactorCache(capacity=2)
+        assert restored.load_state(source.to_state()) == 3
+        # Trimmed oldest-first to capacity, without counting evictions.
+        assert set(restored._masks) == set(restored._entries) == set(signatures[1:])
+        assert restored.stats.evictions == 0
+        for signature, mask in restored._masks.items():
+            assert mask == sum(1 << row for row in signature)
 
     def test_rank_deficient_gamma_fails_and_is_memoized(self):
         """The piecewise-linear variogram on a dense 2-D lattice patch has a
@@ -302,14 +317,21 @@ class TestStatsPairsRoundtrip:
         assert np.isnan(rebuilt.reuse_rate)
 
 
-class TestInvertedIndexEquivalence:
-    """The inverted row-signature index must pick exactly the factor the old
-    linear LRU scan picked — smallest symmetric difference, most recently
-    used on ties — including at capacities far beyond the default."""
+def _closest_factor(cache, signature):
+    """The factor `_closest` picks, without its distance."""
+    found = cache._closest(signature)
+    return None if found is None else found[0]
+
+
+class TestClosestSemantics:
+    """The bitset scan must pick exactly the factor the reference linear
+    LRU scan picks — smallest symmetric difference, most recently used on
+    ties — including at capacities far beyond the default, and report that
+    factor's symmetric difference."""
 
     @staticmethod
     def _reference_closest(cache, signature):
-        """The pre-index implementation: a reversed scan of the whole LRU."""
+        """Reference: a reversed frozenset scan of the whole LRU."""
         limit = cache._update_limit(signature)
         if limit == 0:
             return None
@@ -342,7 +364,6 @@ class TestInvertedIndexEquivalence:
         for signature in rng.permutation(len(stored))[: len(stored) // 2]:
             key = stored[int(signature)]
             cache._entries.move_to_end(key)
-            cache._touch(key)
         return cache
 
     def _queries(self, rng, cache, n_rows, n_queries):
@@ -384,7 +405,7 @@ class TestInvertedIndexEquivalence:
         for query in queries:
             if query in cache._entries:
                 continue  # factor_for answers exact hits before _closest
-            assert cache._closest(query) is self._reference_closest(cache, query), query
+            assert _closest_factor(cache, query) is self._reference_closest(cache, query), query
 
     def test_small_cache_matches_linear_scan(self):
         rng = np.random.default_rng(7)
@@ -395,4 +416,87 @@ class TestInvertedIndexEquivalence:
         for query in self._queries(rng, cache, n_rows=60, n_queries=200):
             if query in cache._entries:
                 continue
-            assert cache._closest(query) is self._reference_closest(cache, query), query
+            assert _closest_factor(cache, query) is self._reference_closest(cache, query), query
+
+    def test_smaller_distance_beats_recency_ties_go_to_mru(self):
+        cache = FactorCache(max_update_points=8)
+        query = tuple(range(10, 30))
+        # Stored oldest first, at distances 2, 3, 2 and 2 from the query.
+        two_a, three, two_b, two_c = query[2:], query[3:], query[:-2], query[1:] + (40,)
+        for signature in (two_a, three):
+            cache._store(signature, self._fake_factor(signature, cache))
+        # The older entry is closer: recency does not beat distance.
+        assert cache._closest(query) == (cache._entries[two_a], 2)
+        for signature in (two_b, two_c):
+            cache._store(signature, self._fake_factor(signature, cache))
+        assert cache._closest(query) == (cache._entries[two_c], 2)
+        cache._entries.move_to_end(two_b)  # a hit makes it most recent
+        assert cache._closest(query) == (cache._entries[two_b], 2)
+
+    def test_reported_distance_is_symmetric_difference(self):
+        rng = np.random.default_rng(3)
+        cache = self._populated(
+            rng, capacity=32, n_rows=80, n_stored=40, sizes=(4, 30),
+            max_update_points=40,
+        )
+        for query in self._queries(rng, cache, n_rows=80, n_queries=100):
+            if query in cache._entries:
+                continue
+            found = cache._closest(query)
+            if found is None:
+                continue
+            factor, distance = found
+            assert distance == len(set(query) ^ set(factor.rows.tolist()))
+
+    def test_wide_row_ids_match_linear_scan(self):
+        """Row ids past 10,000 make multi-word bitsets."""
+        rng = np.random.default_rng(5)
+        cache = self._populated(
+            rng, capacity=64, n_rows=12_000, n_stored=80, sizes=(4, 40),
+            max_update_points=24,
+        )
+        wide = [key for key in cache._entries if max(key) >= 10_000]
+        assert wide
+        queries = self._queries(rng, cache, n_rows=12_000, n_queries=200)
+        # Near misses of stored wide signatures, so the scan has real
+        # candidates rather than only unrelated sets.
+        for key in wide[:20]:
+            queries.append(tuple(sorted(set(key[1:]) | {10_000 + len(key)})))
+        for query in queries:
+            if query in cache._entries:
+                continue
+            assert _closest_factor(cache, query) is self._reference_closest(cache, query), query
+
+    def test_restored_cache_matches_linear_scan(self):
+        rng = np.random.default_rng(9)
+        points = rng.uniform(0.0, 10.0, size=(60, 4))
+        source = FactorCache(capacity=16, max_update_points=30)
+        for _ in range(24):
+            size = int(rng.integers(4, 20))
+            source.factor_for(_signature(rng, 60, size), points, VARIOGRAM, "l1")
+        restored = FactorCache(capacity=16, max_update_points=30)
+        restored.load_state(source.to_state())
+        assert list(restored._entries) == list(source._entries)
+        for query in self._queries(rng, restored, n_rows=60, n_queries=200):
+            if query in restored._entries:
+                continue
+            expected = self._reference_closest(restored, query)
+            assert _closest_factor(restored, query) is expected, query
+
+    def test_tiny_disjoint_signatures_match_linear_scan(self):
+        """Tiny sets sharing no row are still within the update limit
+        (distance is the plain size sum)."""
+        rng = np.random.default_rng(13)
+        cache = self._populated(
+            rng, capacity=32, n_rows=400, n_stored=40, sizes=(4, 6),
+        )
+        checked = 0
+        for _ in range(200):
+            query = tuple(sorted(rng.choice(400, size=4, replace=False).tolist()))
+            if query in cache._entries:
+                continue
+            expected = self._reference_closest(cache, query)
+            assert _closest_factor(cache, query) is expected, query
+            if expected is not None and not set(query) & set(expected.rows.tolist()):
+                checked += 1
+        assert checked > 0  # disjoint matches were actually exercised
